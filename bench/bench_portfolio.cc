@@ -2,8 +2,9 @@
 //
 // The proof-engine portfolio bench (docs/ENGINES.md): the seven paper
 // kernels plus the pdrlock demo kernel verified under each engine —
-// induction, PDR, and the racing portfolio — with per-engine timings and
-// proved counts, written to BENCH_portfolio.json.
+// induction, PDR, and the portfolio (induction, then PDR on induction's
+// Unknowns only) — with per-engine timings and proved counts, written to
+// BENCH_portfolio.json.
 //
 // Correctness gates (exit non-zero on failure):
 //  * separation: pdrlock's RogueNeedsBlessing is Unknown under induction
@@ -11,9 +12,12 @@
 //    the portfolio's reason to exist;
 //  * the portfolio serves that property through PDR, and its verdicts
 //    over the whole suite are byte-identical (statuses, reasons,
-//    certificates, serving engines) across one worker and many — the
-//    canonical selection rule erases the race's timing;
-//  * every engine's verdicts are themselves jobs-count independent.
+//    certificates, serving engines) across one worker and many;
+//  * every engine's verdicts are themselves jobs-count independent;
+//  * the portfolio proves every property of the suite, and — outside
+//    --smoke — its sequential time is at most 1.5x induction's (the
+//    median of paired adjacent-batch ratios): PDR runs only where
+//    induction left a property Unknown, so the fallback costs little.
 //
 // Flags:
 //   --jobs N    parallel worker count for the parity check (default 4;
@@ -23,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench_util.h"
 #include "kernels/kernels.h"
 #include "service/scheduler.h"
 #include "service/threadpool.h"
@@ -192,6 +197,37 @@ int main(int Argc, char **Argv) {
                 Row.ParMs);
   }
 
+  // --- Gate 4: the fallback costs little over induction alone ----------
+  const EngineRow &IndRow = Rows[0], &PortRow = Rows[2];
+  if (PortRow.Proved != PortRow.Properties) {
+    std::fprintf(stderr, "FAIL: portfolio proved %u/%u properties\n",
+                 PortRow.Proved, PortRow.Properties);
+    Ok = false;
+  }
+  double PortOverInd = PortRow.SeqMs / std::max(IndRow.SeqMs, 1e-6);
+  if (!Smoke) {
+    // Each sample is the median of three sequential batches; the pairs
+    // alternate order so host jitter cancels instead of reading as cost.
+    SchedulerOptions IndSeq;
+    IndSeq.Jobs = 1;
+    IndSeq.Verify.Engine = EngineKind::Induction;
+    SchedulerOptions PortSeq = IndSeq;
+    PortSeq.Verify.Engine = EngineKind::Portfolio;
+    PortOverInd =
+        benchutil::measurePaired(
+            9, [&] { return medianMs(3, S.Programs, PortSeq, nullptr); },
+            [&] { return medianMs(3, S.Programs, IndSeq, nullptr); })
+            .speedup();
+    if (PortOverInd > 1.5) {
+      std::fprintf(stderr,
+                   "FAIL: portfolio takes %.2fx induction's sequential time "
+                   "(gate 1.5x)\n",
+                   PortOverInd);
+      Ok = false;
+    }
+  }
+  std::printf("portfolio/induction sequential time: %.2fx\n", PortOverInd);
+
   JsonWriter W;
   W.beginObject();
   W.field("bench", "portfolio");
@@ -212,6 +248,8 @@ int main(int Argc, char **Argv) {
     W.endObject();
   }
   W.endArray();
+  W.key("portfolio_over_induction");
+  W.value(benchutil::round2(PortOverInd));
   W.field("deterministic", Ok);
   W.endObject();
   std::ofstream OutF(OutPath, std::ios::trunc);

@@ -41,15 +41,15 @@ std::vector<const Program *> corpusPrograms(const GeneratedCorpus &Corpus) {
 
 /// How strictly a parity arm is compared against the baseline:
 ///  * FullKey — status AND reason byte-identical (the determinism
-///    contract: same options, so same verdict bytes);
-///  * StatusKey — statuses identical (the portfolio races engines, so
-///    refutation reasons may legitimately come from a different member);
+///    contract: same options, so same verdict bytes), and for the
+///    portfolio, which serves induction's verdict wherever induction
+///    has one;
 ///  * NoContradiction — a *definite* verdict (Proved/Refuted) must match
 ///    the baseline status; Unknown is tolerated. This is the soundness
 ///    cross-check for standalone PDR, which is incomplete on the guard
 ///    history obligations these templates rest on (see docs/CORPUS.md)
 ///    but must never contradict the induction engine.
-enum class ParityMode : uint8_t { FullKey, StatusKey, NoContradiction };
+enum class ParityMode : uint8_t { FullKey, NoContradiction };
 
 struct VerdictRow {
   std::string Status;
@@ -86,9 +86,6 @@ void compareArm(const GeneratedCorpus &Corpus,
       switch (Mode) {
       case ParityMode::FullKey:
         Bad = G.Status != B.Status || G.Reason != B.Reason;
-        break;
-      case ParityMode::StatusKey:
-        Bad = G.Status != B.Status;
         break;
       case ParityMode::NoContradiction:
         Bad = (G.Status == "Proved" || G.Status == "Refuted") &&
@@ -326,13 +323,13 @@ OracleReport runOracle(const GeneratedCorpus &Corpus,
       ++Rep.ParityArms;
     }
     {
-      // The portfolio races induction, so it must land every verdict the
-      // baseline does (reasons may come from a different race winner).
+      // The portfolio runs induction first and serves its every Proved
+      // and Refuted, so it must reproduce the baseline byte for byte.
       SchedulerOptions Pf = Seq;
       Pf.Jobs = Opts.Jobs;
       Pf.Verify.Engine = EngineKind::Portfolio;
       compareArm(Corpus, Base, verifyPrograms(Programs, Pf),
-                 ParityMode::StatusKey, "engine-portfolio", Rep);
+                 ParityMode::FullKey, "engine-portfolio", Rep);
       ++Rep.ParityArms;
     }
   }

@@ -447,7 +447,6 @@ public:
   explicit IncrementalCore(TermContext &Ctx) : Ctx(Ctx) {}
 
   void setLogging(bool On) { Logging = On; }
-  void setActivityOrder(bool On) { ActivityOrder = On; }
 
   size_t depth() const { return TrailMarks.size(); }
   bool latched() const { return ConflictDepth >= 0; }
@@ -732,7 +731,7 @@ private:
   void drainPending() {
     while (!Pending.empty()) {
       size_t Best = Pending.size() - 1;
-      if (ActivityOrder && Pending.size() > 1) {
+      if (Pending.size() > 1) {
         // Highest activity first; ties break on the smaller (min, max)
         // term-serial pair, then queue position. Activity is a pure
         // function of the journaled closure state — never of popped
@@ -1090,7 +1089,6 @@ private:
 
   TermContext &Ctx;
   bool Logging = false;
-  bool ActivityOrder = true;
 
   std::vector<uint32_t> Parent; // Unreg = not registered
   std::vector<uint8_t> Rk;
@@ -1134,11 +1132,6 @@ const SolverStats &Solver::stats() const {
   Stats.TrailUndos = Core->undoCount();
   Stats.SigSweeps = Core->sigSweeps();
   return Stats;
-}
-
-void Solver::setActivityMergeOrder(bool On) {
-  assert(ScopeMarks.empty() && "merge order toggles only at scope depth 0");
-  Core->setActivityOrder(On);
 }
 
 void Solver::setIncrementalEnabled(bool On) {

@@ -245,15 +245,6 @@ public:
   /// checker turns it on; the bench measures its overhead).
   void setLogEnabled(bool On);
 
-  /// Selects activity-driven pending-merge ordering (default) or the
-  /// historical LIFO drain. Activity is the watcher count of a merge's
-  /// two classes — a pure function of the journaled closure state, so
-  /// either ordering yields deterministic, stack-determined merge
-  /// sequences and identical verdicts (congruence closure is confluent).
-  /// The LIFO path is kept for the bench's A/B arm and differential
-  /// tests.
-  void setActivityMergeOrder(bool On);
-
   //===--------------------------------------------------------------------===
   // Scoped assertion stack
   //===--------------------------------------------------------------------===

@@ -6,8 +6,6 @@
 #include "support/timer.h"
 #include "verify/pdr.h"
 
-#include <thread>
-
 namespace reflex {
 
 const char *verifyStatusName(VerifyStatus S) {
@@ -190,7 +188,6 @@ struct VerifySession::Impl {
         Abs(Frozen->behAbs()), BuildOutcome(Frozen->buildOutcome()),
         BuildReason(Frozen->buildReason()) {
     Solv.setMemoEnabled(Opts.CacheInvariants);
-    this->Shared = Shared;
     if (Shared) {
       Solv.setSharedMemo(&Shared->SolverMemo);
       Cache.Shared = &Shared->Invariants;
@@ -206,10 +203,6 @@ struct VerifySession::Impl {
   InvariantCache Cache;
   BudgetOutcome BuildOutcome = BudgetOutcome::Ok;
   std::string BuildReason;
-  /// The cross-worker cache tiers this session was attached to (if any);
-  /// remembered so the portfolio race can attach its PDR session to the
-  /// same tiers.
-  SharedVerifyCaches *Shared = nullptr;
 };
 
 VerifySession::VerifySession(const Program &P, const VerifyOptions &Opts)
@@ -389,53 +382,19 @@ PropertyResult VerifySession::verifyOne(const Property &Prop, Deadline &D,
 
 PropertyResult VerifySession::verifyPortfolio(const Property &Prop,
                                               Deadline &D) {
-  // The race: PDR runs on a second thread over its own session (private
-  // overlay context and solver — the frozen base and the shared cache
-  // tiers are the only cross-thread state, both designed for this), while
-  // induction runs here. The raced PDR attempt is a *prefetch*: its
-  // verdict decides whether the caller consults PDR at all, and its
-  // queries warm the shared solver memo, but the served PDR result is
-  // materialized in this session so its certificate terms live in this
-  // session's context (PropertyResult::Cert's lifetime contract).
-  // Selection follows the canonical priority rule of verify/engine.h, so
-  // the verdict is a function of (program, property, options) only.
-  auto PdrCancel = std::make_shared<CancelFlag>();
-  VerifyStatus RacedStatus = VerifyStatus::Unknown;
-  std::thread Racer([this, &Prop, &PdrCancel, &RacedStatus] {
-    VerifySession PdrS(I->Frozen, I->Shared);
-    PdrS.I->Opts.Engine = EngineKind::Pdr;
-    PdrS.I->Opts.Cancel = PdrCancel;
-    Deadline PdrD;
-    armDeadline(PdrD, PdrS.I->Opts);
-    RacedStatus = PdrS.verifyOne(Prop, PdrD, EngineKind::Pdr).Status;
-  });
-
+  // PDR is a fallback, not a competitor: it runs once, in this session
+  // and under the same deadline, only on what induction (its BMC
+  // fallback included) left Unknown. Selection follows the priority rule
+  // of verify/engine.h, so the verdict is a function of (program,
+  // property, options) only.
   PropertyResult IndR = verifyOne(Prop, D, EngineKind::Induction);
-  if (IndR.Status == VerifyStatus::Proved || isBudgetStatus(IndR.Status)) {
-    // Induction's sound verdict wins by priority — whatever PDR is still
-    // computing cannot be selected. A budget status likewise ends the
-    // attempt (not a verdict, for portfolio exactly as for a single
-    // engine); either way the racer's result is moot, so cancel it.
-    PdrCancel->cancel();
-    Racer.join();
+  if (IndR.Status != VerifyStatus::Unknown)
     return IndR;
-  }
-  Racer.join();
-
-  if (RacedStatus == VerifyStatus::Proved ||
-      RacedStatus == VerifyStatus::Refuted ||
-      isBudgetStatus(RacedStatus)) {
-    // PDR has (or, under a racer-side budget expiry, may have) a sound
-    // verdict induction lacks: re-derive it deterministically in this
-    // session. The raced attempt already warmed the shared memo, so the
-    // replay is mostly cache hits.
-    PropertyResult PdrR = verifyOne(Prop, D, EngineKind::Pdr);
-    if (PdrR.Status == VerifyStatus::Proved ||
-        PdrR.Status == VerifyStatus::Refuted || isBudgetStatus(PdrR.Status))
-      return PdrR;
-  }
-  // Neither engine is sound here: induction's Unknown (with its BMC
-  // fallback already applied) is the more actionable diagnostic.
+  PropertyResult PdrR = verifyOne(Prop, D, EngineKind::Pdr);
+  if (PdrR.Status != VerifyStatus::Unknown)
+    return PdrR;
+  // Neither engine is sound here: induction's Unknown is the more
+  // actionable diagnostic.
   return IndR;
 }
 

@@ -41,10 +41,9 @@ struct VerifyOptions {
   /// Re-check every certificate with the independent checker.
   bool CheckCertificates = true;
   /// Which proof engine serves trace properties (verify/engine.h):
-  /// induction (default), pdr, or portfolio (race both; canonical
-  /// priority selection keeps verdicts deterministic). Part of the
-  /// proof-cache options fingerprint: entries from different engines
-  /// never shadow each other.
+  /// induction (default), pdr, or portfolio (induction, then PDR on
+  /// induction's Unknowns only). Part of the proof-cache options
+  /// fingerprint: entries from different engines never shadow each other.
   EngineKind Engine = EngineKind::Induction;
   /// When the prover answers Unknown, search for a concrete
   /// counterexample up to this depth (0 disables).
@@ -278,7 +277,7 @@ public:
 private:
   /// One engine, no dispatch: the shared tail of every verify() call.
   PropertyResult verifyOne(const Property &Prop, Deadline &D, EngineKind Eng);
-  /// The portfolio race (see verify/engine.h for the selection rule).
+  /// The portfolio fallback order (see verify/engine.h).
   PropertyResult verifyPortfolio(const Property &Prop, Deadline &D);
 
   struct Impl;

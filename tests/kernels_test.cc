@@ -36,6 +36,16 @@ TEST(Kernels, EveryRowNamesARealProperty) {
   }
 }
 
+} // namespace
+
+namespace kernels {
+// Names the kernel in test listings. Without it gtest prints the pointer,
+// and the listed test names would change with the load address every run.
+void PrintTo(const KernelDef *K, std::ostream *OS) { *OS << K->Name; }
+} // namespace kernels
+
+namespace {
+
 // The headline: each kernel proves all its properties, pushbutton.
 class KernelProofs : public ::testing::TestWithParam<const kernels::KernelDef *> {};
 

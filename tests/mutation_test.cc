@@ -22,6 +22,13 @@ struct Mutation {
   size_t BmcDepth; // 0: NI property, no single-trace counterexample
 };
 
+// Names the mutant in test listings. Without it gtest dumps the struct's
+// bytes, string pointers included, so the listed test names would change
+// with the load address every run.
+void PrintTo(const Mutation &M, std::ostream *OS) {
+  *OS << M.Kernel << "/" << M.Property;
+}
+
 class MutationTest : public ::testing::TestWithParam<Mutation> {};
 
 TEST_P(MutationTest, MutantRejectedAndRefuted) {

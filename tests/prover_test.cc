@@ -9,6 +9,7 @@
 
 #include "test_util.h"
 
+#include "gen/generator.h"
 #include "kernels/kernels.h"
 
 namespace reflex {
@@ -554,10 +555,39 @@ TEST(Pdr, RefutesWithConcreteConfirmedTrace) {
   EXPECT_EQ(PortR.Reason, R.Reason);
 }
 
+TEST(Pdr, PortfolioServesInductionsConfirmedRefutation) {
+  // A seeded corpus bug that induction leaves Unknown and its BMC
+  // fallback refutes: the portfolio serves that refutation as it stands
+  // and never consults PDR, so reason and counterexample are induction's
+  // byte for byte.
+  gen::GenConfig C;
+  C.Seed = 42;
+  C.Scale = 2;
+  gen::GeneratedCorpus Corpus = gen::generateCorpus(C);
+  const gen::GeneratedInstance *Bug = nullptr;
+  for (const gen::GeneratedInstance &Inst : Corpus.Instances)
+    if (Inst.Name == "gen_bug0")
+      Bug = &Inst;
+  ASSERT_NE(Bug, nullptr);
+
+  VerifyOptions Ind = gen::corpusVerifyOptions();
+  Ind.Engine = EngineKind::Induction;
+  PropertyResult IndR = verifyOne(*Bug->Program, "Chain1s1", Ind);
+  ASSERT_EQ(IndR.Status, VerifyStatus::Refuted) << IndR.Reason;
+
+  VerifyOptions Port = gen::corpusVerifyOptions();
+  Port.Engine = EngineKind::Portfolio;
+  PropertyResult PortR = verifyOne(*Bug->Program, "Chain1s1", Port);
+  EXPECT_EQ(PortR.Status, VerifyStatus::Refuted) << PortR.Reason;
+  EXPECT_EQ(PortR.ServedBy, "induction");
+  EXPECT_EQ(PortR.Reason, IndR.Reason);
+  EXPECT_EQ(PortR.Counterexample.str(), IndR.Counterexample.str());
+}
+
 TEST(Pdr, PortfolioPrefersInductionWhenBothProve) {
   // Canonical selection: when induction proves, its certificate is
-  // served regardless of which engine finished first (verdicts must be
-  // functions of (program, property, options), not of the race).
+  // served and PDR never runs (verdicts are functions of (program,
+  // property, options), and PDR is only induction's fallback).
   std::string Src = std::string(Pingpong) + R"(
 handler A => Ping(n) {
   send(Y, Pong(n));

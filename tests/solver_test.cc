@@ -136,17 +136,15 @@ TEST_F(SolverTest, MemoIsSemanticallyInvisible) {
 
 TEST_F(SolverTest, MergeOrderParityAcrossDrainPolicies) {
   // Activity-driven pending-merge ordering must be verdict-invisible:
-  // congruence closure is confluent, so the activity-ordered drain, the
-  // historical LIFO drain, and the from-scratch reference algorithm
-  // agree on every query. Random literal sets over a small term algebra
-  // exercise congruence cascades (shared subterms) and conflicts.
+  // congruence closure is confluent, so the activity-ordered drain and
+  // the from-scratch reference algorithm agree on every query. Random
+  // literal sets over a small term algebra exercise congruence cascades
+  // (shared subterms) and conflicts.
   Rng Rand(20260808);
   for (int Round = 0; Round < 200; ++Round) {
     TermContext C;
-    Solver Act(C), Lifo(C), Ref(C);
+    Solver Act(C), Ref(C);
     Act.setMemoEnabled(false);
-    Lifo.setMemoEnabled(false);
-    Lifo.setActivityMergeOrder(false);
     Ref.setMemoEnabled(false);
     Ref.setIncrementalEnabled(false);
     TermRef V[4] = {C.stateSym("x", BaseType::Num),
@@ -164,9 +162,7 @@ TEST_F(SolverTest, MergeOrderParityAcrossDrainPolicies) {
     for (unsigned I = 0, N = 3 + Rand.below(8); I < N; ++I)
       Ls.push_back(Lit(C.eq(Term(), Term()), Rand.below(4) != 0));
     SatResult RA = Act.checkLits(Ls);
-    SatResult RL = Lifo.checkLits(Ls);
     SatResult RR = Ref.checkLits(Ls);
-    ASSERT_EQ(RA, RL) << "activity vs lifo drain disagree, round " << Round;
     ASSERT_EQ(RA, RR) << "incremental vs reference disagree, round " << Round;
   }
 }

@@ -65,8 +65,9 @@ int usage() {
       "  verify   prove every property of the program fully automatically\n"
       "           options: --no-skip --no-simplify --no-cache --no-check\n"
       "                    --engine induction|pdr|portfolio (which proof\n"
-      "                    engine serves trace properties; portfolio races\n"
-      "                    both, see docs/ENGINES.md)\n"
+      "                    engine serves trace properties; portfolio runs\n"
+      "                    PDR only on induction's Unknowns, see\n"
+      "                    docs/ENGINES.md)\n"
       "                    --bmc-depth N (refute Unknowns)  --certs FILE\n"
       "                    --json FILE (machine-readable report)\n"
       "                    --jobs N (parallel verification; 0 = all cores)\n"

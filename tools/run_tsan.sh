@@ -9,8 +9,6 @@
 #                               per-request watcher threads, shared sessions
 #   * bench/bench_parallel    — the full 41-property suite on 4 workers,
 #                               in --smoke mode (one repetition)
-#   * tests/prover_test       — the portfolio's engine race (PDR on a
-#                               background session vs induction)
 #   * bench/bench_portfolio   — every kernel under every engine at 1 and
 #                               4 workers, in --smoke mode
 #   * tests/chaos_test        — journal appends from handler threads,
@@ -39,7 +37,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-tsan}"
 
 cmake -B "$BUILD" -S . -DREFLEX_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" -j --target service_test daemon_test prover_test \
+cmake --build "$BUILD" -j --target service_test daemon_test \
   chaos_test solver_test solver_diff_test corpus_diff_test bench_parallel \
   bench_portfolio bench_solver bench_incremental
 
@@ -56,9 +54,6 @@ echo "== daemon_test (TSan) =="
 echo "== bench_parallel --jobs 4 --smoke (TSan) =="
 "$BUILD/bench/bench_parallel" --jobs 4 --smoke \
   --out "$BUILD/BENCH_parallel.smoke.json"
-
-echo "== prover_test (TSan) =="
-"$BUILD/tests/prover_test"
 
 echo "== bench_portfolio --jobs 4 --smoke (TSan) =="
 "$BUILD/bench/bench_portfolio" --jobs 4 --smoke \
